@@ -7,18 +7,18 @@
 //
 // Besides the throughput matrix the bench reports the optimizer's
 // per-level instruction counts and reductions, the execution-tier matrix
-// (switch interpreter vs threaded dispatch vs native x86-64 block over a
-// precomputed stimulus ring, per level and lane width), and the
+// (threaded dispatch vs native x86-64 block over a precomputed stimulus
+// ring, per level and lane width), and the
 // fault-campaign throughput of the 64-lane seed path vs the 256-lane wide
 // path on the smoke workload (the acceptance metric for the wide engine).
 //
 // `--smoke` runs a fast pass and enforces the CI gates: every optimization
 // level must stay differentially equivalent to the interpreted engine, the
-// optimized tape must not be slower than the raw one, and (on hosts where
-// the emitter runs) the native tier must clear 3x the switch interpreter
-// at o2/256 lanes.  `--json <path>` emits the bench/schema.md record set
-// (identical record keys in smoke and full modes, so baselines diff
-// cleanly).
+// optimized tape must not walk slower than the raw one on the threaded
+// tier at 64 lanes, and (on hosts where the emitter runs) the native tier
+// must clear 3x the threaded tier at o2/256 lanes.  `--json <path>` emits
+// the bench/schema.md record set (identical record keys in smoke and full
+// modes, so baselines diff cleanly).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -193,7 +193,9 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t interp_cycles = smoke ? 64 : 4096;
   const std::uint64_t compiled_cycles = smoke ? 48 : 1024;
-  const std::uint64_t tier_cycles = smoke ? 256 : 2048;
+  // Ring-stimulus tier points carry the smoke gates, so even smoke mode
+  // times a few milliseconds per point rather than one timer slice.
+  const std::uint64_t tier_cycles = smoke ? 1024 : 2048;
   const std::uint64_t equiv_cycles = smoke ? 24 : 48;
   // Even smoke mode needs a few thousand trials: at ~10^5 trials/s a
   // 256-trial campaign is a millisecond -- pure timer noise.
@@ -212,7 +214,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   bool perf_ok = true;
-  double native_speedup_logsum = 0.0;  // per-design o2/l256 native-vs-switch
+  double native_speedup_logsum = 0.0;  // per-design o2/l256 native/threaded
   dwt::core::ArtifactCache& cache = dwt::core::ArtifactCache::instance();
   for (const dwt::hw::DesignSpec& spec : dwt::hw::all_designs()) {
     const dwt::hw::BuiltDatapath& dp = cache.design(spec.config)->dp;
@@ -237,9 +239,7 @@ int main(int argc, char** argv) {
 
     const std::size_t raw_instrs =
         cache.tape(spec.config)->instrs().size();
-    double vps_o0_l64 = 0.0;
     double vps_max = 0.0;
-    double vps_opt_l64 = 0.0;  // max-opt tape at the seed 64-lane width
     std::printf("%-10s  interp %10.0f vec/s   (%zu raw instrs)\n",
                 spec.name.c_str(), interp_vps, raw_instrs);
     for (const OptLevel level : kLevels) {
@@ -274,33 +274,34 @@ int main(int argc, char** argv) {
                  vps, "vectors/s");
         std::printf("  %s l%-3u  %10.0f vec/s  %5zu instrs  %6.1fx interp\n",
                     tag.c_str(), lanes, vps, instrs, vps / interp_vps);
-        if (level == OptLevel::kNone && width == 1) vps_o0_l64 = vps;
-        if (level == OptLevel::kFull && width == 1) vps_opt_l64 = vps;
         if (vps > vps_max) vps_max = vps;
       }
     }
     json.add(spec.name, "compiled_speedup", vps_max / interp_vps, "ratio");
 
-    // Execution-tier matrix: the same tape walked by the switch
-    // interpreter, the threaded-dispatch interpreter, and the native
-    // x86-64 block, per (level, width), over the stimulus-ring harness.
-    // On hosts without the emitter the native point demotes to threaded
-    // (the production fallback) and the records document that.
+    // Execution-tier matrix: the same tape walked by the threaded-dispatch
+    // walker and the native x86-64 block, per (level, width), over the
+    // stimulus-ring harness.  On hosts without the emitter the native point
+    // demotes to threaded (the production fallback) and the records
+    // document that.
     using dwt::rtl::compiled::ExecTier;
-    constexpr ExecTier kTiers[] = {ExecTier::kSwitch, ExecTier::kThreaded,
-                                   ExecTier::kNative};
-    double gate_switch = 0.0;  // o2/l256 switch interpreter, best of reps
-    double gate_native = 0.0;  // o2/l256 native tier, best of reps
+    constexpr ExecTier kTiers[] = {ExecTier::kThreaded, ExecTier::kNative};
+    double gate_threaded = 0.0;  // o2/l256 threaded tier, best of reps
+    double gate_native = 0.0;    // o2/l256 native tier, best of reps
+    double threaded_o0_l64 = 0.0;  // raw tape, threaded, best of reps
+    double threaded_o2_l64 = 0.0;  // max-opt tape, threaded, best of reps
     for (const OptLevel level : kLevels) {
       const auto tape =
           cache.tape(spec.config, dwt::rtl::HardeningStyle::kNone, level);
       const std::string tag = level_tag(level);
       for (const unsigned width : {1u, 4u}) {
         for (const ExecTier tier : kTiers) {
-          // The o2/l256 gate points get best-of-3: one descheduled slice
-          // must not decide a 3x acceptance ratio.
-          const bool gate_point = level == OptLevel::kFull && width == 4 &&
-                                  tier != ExecTier::kThreaded;
+          // Gate points get best-of-3: one descheduled slice must not
+          // decide the 3x native ratio or the optimized-vs-raw tape check.
+          const bool native_gate = level == OptLevel::kFull && width == 4;
+          const bool opt_gate = width == 1 && tier == ExecTier::kThreaded &&
+                                level != OptLevel::kSafe;
+          const bool gate_point = native_gate || opt_gate;
           double best = 0.0;
           for (int rep = 0; rep < (gate_point ? 3 : 1); ++rep) {
             double vps = 0.0;
@@ -318,14 +319,16 @@ int main(int argc, char** argv) {
                    best, "vectors/s");
           std::printf("  %s %-11s l%-3u  %12.0f vec/s\n", tag.c_str(),
                       to_string(tier), lanes, best);
-          if (gate_point && tier == ExecTier::kSwitch) gate_switch = best;
-          if (gate_point && tier == ExecTier::kNative) gate_native = best;
+          if (native_gate && tier == ExecTier::kThreaded) gate_threaded = best;
+          if (native_gate && tier == ExecTier::kNative) gate_native = best;
+          if (opt_gate && level == OptLevel::kNone) threaded_o0_l64 = best;
+          if (opt_gate && level == OptLevel::kFull) threaded_o2_l64 = best;
         }
       }
     }
-    json.add(spec.name, "native_speedup_o2_l256", gate_native / gate_switch,
-             "ratio");
-    native_speedup_logsum += std::log(gate_native / gate_switch);
+    json.add(spec.name, "native_speedup_vs_threaded_o2_l256",
+             gate_native / gate_threaded, "ratio");
+    native_speedup_logsum += std::log(gate_native / gate_threaded);
     const auto native_block = cache.native_block(
         spec.config, dwt::rtl::HardeningStyle::kNone, OptLevel::kFull, 4);
     json.add(spec.name, "native_code_bytes",
@@ -341,11 +344,14 @@ int main(int argc, char** argv) {
     json.add(spec.name, "threaded_throughput", threaded_vps, "vectors/s");
 
     // CI gate (smoke): with half to a quarter of the instructions, the
-    // optimized tape must not run slower than the raw one at equal width.
-    if (smoke && vps_opt_l64 < 0.95 * vps_o0_l64) {
+    // optimized tape must not walk slower than the raw one at equal width.
+    // Timed on the stimulus-ring threaded records: the per-lane random
+    // set_bus loop behind compiled_throughput_* costs more than an o2 tape
+    // pass, so those single-shot records time the RNG, not the tape.
+    if (smoke && threaded_o2_l64 < 0.95 * threaded_o0_l64) {
       all_ok = false;
       std::printf("%-10s optimized tape SLOWER: O2 %.0f vec/s < O0 %.0f\n",
-                  spec.name.c_str(), vps_opt_l64, vps_o0_l64);
+                  spec.name.c_str(), threaded_o2_l64, threaded_o0_l64);
     }
   }
 
@@ -381,25 +387,25 @@ int main(int argc, char** argv) {
         tps64, tps256, tps256 / tps64);
   }
 
-  // ISSUE acceptance gate: across the five-design matrix the native tier
-  // must clear 3x the switch interpreter at o2/256 lanes, measured as the
+  // Native acceptance gate: across the five-design matrix the native tier
+  // must clear 3x the threaded tier at o2/256 lanes, measured as the
   // geometric mean of the per-design ratios (the deeply pipelined Design 3
   // is edge-copy-dominated and individually sits below its peers; every
   // per-design ratio is still a published record).  Skipped when
-  // DWT_EXEC_TIER forces a portable tier -- the records then measure the
-  // forced tier -- or the host has no emitter.
+  // DWT_EXEC_TIER forces the threaded tier -- the records then measure it
+  // twice -- or the host has no emitter.
   const double native_speedup_geomean =
       std::exp(native_speedup_logsum / 5.0);
-  json.add("all designs", "native_speedup_geomean_o2_l256",
+  json.add("all designs", "native_speedup_vs_threaded_geomean_o2_l256",
            native_speedup_geomean, "ratio");
   const bool native_live =
       dwt::rtl::compiled::resolve_exec_tier(
           dwt::rtl::compiled::ExecTier::kNative, 4) ==
       dwt::rtl::compiled::ExecTier::kNative;
-  std::printf("\nNative tier o2/l256 speedup over the switch interpreter: "
+  std::printf("\nNative tier o2/l256 speedup over the threaded tier: "
               "%.2fx geomean%s\n",
               native_speedup_geomean,
-              native_live ? "" : " (native demoted: portable tier forced)");
+              native_live ? "" : " (native demoted: threaded tier forced)");
   if (smoke && native_live && native_speedup_geomean < 3.0) {
     perf_ok = false;
     std::printf("native tier BELOW 3x geomean across the design matrix\n");

@@ -10,7 +10,7 @@
 // (datapath config, hardening style) content key and hands out shared
 // immutable artifacts: the netlist, tape and mapped structures are all
 // read-only after construction (simulator state lives in per-consumer
-// Simulator/CompiledSimulator/MappedActivitySim instances), so one artifact
+// Simulator/WideSimulator/MappedActivitySim instances), so one artifact
 // safely feeds any number of threads.
 //
 // Concurrency contract: a key is built exactly once.  Racing requesters
@@ -28,6 +28,7 @@
 #include "fpga/tech_mapper.hpp"
 #include "hw/designs.hpp"
 #include "rtl/compiled/cone_index.hpp"
+#include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/harden.hpp"
@@ -105,10 +106,22 @@ class ArtifactCache {
   /// (";native=W" suffix) so one emitted block feeds every simulator of a
   /// configuration at that width.  Returns null (and still caches the
   /// null, the build attempt is counted once) when the host cannot run
-  /// native code for this width; callers fall back to the portable tiers.
+  /// native code for this width; callers fall back to the threaded tier.
   [[nodiscard]] std::shared_ptr<const rtl::compiled::NativeBlock> native_block(
       const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
       rtl::compiled::OptLevel level, unsigned words);
+
+  /// The native block a tier request resolves to: native_block() for the
+  /// same key when `requested` resolves to kNative at `words` lane words
+  /// (kAuto resolution, the DWT_EXEC_TIER override and host support all
+  /// folded in by resolve_exec_tier), null when it resolves to the threaded
+  /// tier.  WideSimulator::set_native() takes the result as is and runs the
+  /// threaded tier on null, so `sim.set_native(cache.native_for(...))` is
+  /// the one tier-selection step every cache consumer shares.
+  [[nodiscard]] std::shared_ptr<const rtl::compiled::NativeBlock> native_for(
+      rtl::compiled::ExecTier requested, const hw::DatapathConfig& cfg,
+      rtl::HardeningStyle harden, rtl::compiled::OptLevel level,
+      unsigned words);
 
   /// simplify() + APEX mapping of the (possibly hardened) datapath.
   [[nodiscard]] std::shared_ptr<const MappedDesign> mapped(

@@ -100,23 +100,6 @@ class SoftwareBackend final : public ExecutionBackend {
 // Gate-level engines.  All artifacts come from the shared ArtifactCache;
 // per-call/per-session objects carry only simulator state.
 
-/// The cache-shared native block for a compiled-engine request, or null
-/// when the resolved tier is not native (kAuto resolution, DWT_EXEC_TIER
-/// override and host support all folded in by resolve_exec_tier).  A null
-/// return simply means "let the simulator resolve the portable tier";
-/// native_block() itself also returns (and caches) null on hosts that
-/// cannot run emitted code, which set_native() demotes to threaded.
-std::shared_ptr<const rtl::compiled::NativeBlock> shared_native(
-    ArtifactCache& cache, const hw::DatapathConfig& cfg,
-    const BackendRequest& req) {
-  if (rtl::compiled::resolve_exec_tier(req.exec_tier, /*words=*/1) !=
-      rtl::compiled::ExecTier::kNative) {
-    return nullptr;
-  }
-  return cache.native_block(cfg, rtl::HardeningStyle::kNone, req.opt_level,
-                            /*words=*/1);
-}
-
 /// 2-D session around the figure-4 system model, on either line engine.
 class GateSession final : public Backend2dSession {
  public:
@@ -207,11 +190,8 @@ class RtlCompiledBackend final : public ExecutionBackend {
     const std::shared_ptr<const CachedDesign> d = cache.design(cfg);
     rtl::compiled::BatchFaultSession session(
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level));
-    if (auto native = shared_native(cache, cfg, req)) {
-      session.sim().set_native(std::move(native));
-    } else {
-      session.sim().set_exec_tier(req.exec_tier);
-    }
+    session.sim().set_native(cache.native_for(
+        req.exec_tier, cfg, rtl::HardeningStyle::kNone, req.opt_level, 1));
     return std::move(
         hw::run_stream_batch(d->dp, session, x, /*lanes=*/1).front());
   }
@@ -224,7 +204,9 @@ class RtlCompiledBackend final : public ExecutionBackend {
     return std::make_unique<GateSession>(
         share_datapath(cache.design(cfg)),
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level),
-        req.exec_tier, shared_native(cache, cfg, req));
+        req.exec_tier,
+        cache.native_for(req.exec_tier, cfg, rtl::HardeningStyle::kNone,
+                         req.opt_level, 1));
   }
 };
 

@@ -286,27 +286,17 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   }
 
   // Execution-tier selection for the compiled sessions.  Full-tape sessions
-  // share the cache's one native block per (hardening, width); sessions
-  // whose settles are cone-restricted run the portable threaded tier (the
-  // native block is a whole-tape settle, so it never fires for them --
-  // skipping the attach just avoids a pointless emit).  Tier choice never
-  // changes a trial's bytes: forced settles drop to the portable kernels on
-  // every tier.
-  const auto attach_tier = [&](auto& sess, rtl::HardeningStyle h,
-                               bool full_range) {
+  // share the cache's one native block per (hardening, width) when the
+  // request resolves native; sessions whose settles are cone-restricted keep
+  // the default threaded tier (the native block is a whole-tape settle, so
+  // it never fires for them -- skipping the attach just avoids a pointless
+  // emit).  Tier choice never changes a trial's bytes: forced settles drop
+  // to the threaded kernels on every tier.
+  const auto attach_native = [&](auto& sess, rtl::HardeningStyle h) {
     constexpr unsigned kW =
         std::remove_reference_t<decltype(sess)>::Sim::kWords;
-    if (rtl::compiled::resolve_exec_tier(options.exec_tier, kW) ==
-        rtl::compiled::ExecTier::kNative) {
-      if (full_range) {
-        sess.sim().set_native(
-            cache.native_block(result.spec.config, h, level, kW));
-      } else {
-        sess.sim().set_exec_tier(rtl::compiled::ExecTier::kThreaded);
-      }
-    } else {
-      sess.sim().set_exec_tier(options.exec_tier);
-    }
+    sess.sim().set_native(
+        cache.native_for(options.exec_tier, result.spec.config, h, level, kW));
   };
 
   // Golden references: the unhardened design defines correctness; the
@@ -317,7 +307,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   if (compiled) {
     rtl::compiled::BatchFaultSession sess(
         cache.tape(result.spec.config, rtl::HardeningStyle::kNone, level));
-    attach_tier(sess, rtl::HardeningStyle::kNone, /*full_range=*/true);
+    attach_native(sess, rtl::HardeningStyle::kNone);
     golden = std::move(hw::run_stream_batch(built, sess, stimulus, 1).front());
   } else {
     rtl::Simulator sim(built.netlist);
@@ -328,13 +318,13 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     bool flagged = false;
     if (compiled) {
       rtl::compiled::BatchFaultSession clean(tape);
-      attach_tier(clean, options.harden, /*full_range=*/true);
+      attach_native(clean, options.harden);
       if (flag_net != rtl::kNullNet) clean.watch(flag_net);
       // The fault-free pass doubles as the golden trace recording for the
       // cone-restricted batches.
       if (cone_active) clean.set_trace(trace.get());
       check = std::move(hw::run_stream_batch(dut, clean, stimulus, 1).front());
-      flagged = clean.watch_mask() != 0;
+      flagged = clean.watch_block().any();
     } else {
       rtl::Simulator sim(dut.netlist);
       rtl::FaultInjector clean(dut.netlist, sim);
@@ -542,11 +532,10 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
               static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
           if (cone_active) {
             rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
-            attach_tier(sess, options.harden, /*full_range=*/false);
             run_one(sess, t0, lanes);
           } else {
             rtl::compiled::WideBatchSession<W> sess(tape);
-            attach_tier(sess, options.harden, /*full_range=*/true);
+            attach_native(sess, options.harden);
             run_one(sess, t0, lanes);
           }
         }

@@ -78,7 +78,7 @@ struct ResilienceOptions {
   rtl::compiled::OptLevel opt_level = rtl::compiled::OptLevel::kSafe;
   /// Execution tier for the compiled engine's tape walks (kAuto = fastest
   /// the host supports; DWT_EXEC_TIER overrides).  Force-pinned settles and
-  /// cone-restricted ranges always run a portable tier regardless, so this
+  /// cone-restricted ranges always run the threaded tier regardless, so this
   /// is purely a throughput knob: results -- and the JSON report -- are
   /// byte-identical at every setting, and it is deliberately absent from
   /// the checkpoint fingerprint like the other performance knobs.  Ignored

@@ -62,18 +62,6 @@ PowerBreakdown estimate_power(const MappedNetlist& mapped,
   return pb;
 }
 
-PowerBreakdown estimate_power_batched(
-    const MappedNetlist& mapped, const rtl::ActivityStats& zero_delay_activity,
-    const ApexDeviceParams& params, double f_mhz, double glitch_margin) {
-  if (glitch_margin < 1.0) {
-    throw std::invalid_argument("estimate_power_batched: margin < 1");
-  }
-  PowerBreakdown pb =
-      estimate_power(mapped, zero_delay_activity, params, f_mhz);
-  pb.logic_mw *= glitch_margin;
-  return pb;
-}
-
 double mean_activity(const MappedNetlist& mapped,
                      const rtl::ActivityStats& activity) {
   double total = 0.0;

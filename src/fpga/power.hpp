@@ -37,15 +37,4 @@ struct PowerBreakdown {
 [[nodiscard]] double mean_activity(const MappedNetlist& mapped,
                                    const rtl::ActivityStats& activity);
 
-/// Batched activity path: consumes zero-delay ActivityStats produced by the
-/// compiled bit-parallel engine (rtl::compiled::CompiledSimulator, 64 packed
-/// vector streams per tape pass -- see hw::run_stream_lanes), which counts
-/// settled per-cycle toggles but no combinational glitches.  The result is a
-/// fast screening estimate that lower-bounds the unit-delay number;
-/// `glitch_margin` (>= 1) scales the logic term to approximate the glitch
-/// contribution when calibrating against a unit-delay reference.
-[[nodiscard]] PowerBreakdown estimate_power_batched(
-    const MappedNetlist& mapped, const rtl::ActivityStats& zero_delay_activity,
-    const ApexDeviceParams& params, double f_mhz, double glitch_margin = 1.0);
-
 }  // namespace dwt::fpga

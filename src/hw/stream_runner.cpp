@@ -202,91 +202,6 @@ template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
 
-LaneStreamResult run_stream_lanes(const BuiltDatapath& dp,
-                                  rtl::compiled::CompiledSimulator& sim,
-                                  std::span<const std::int64_t> x) {
-  if (x.empty()) {
-    throw std::invalid_argument("run_stream_lanes: empty signal");
-  }
-  // Chunk in fed pairs so no trailing sample is dropped: an odd signal's
-  // final chunk covers an odd number of samples and is mirror-extended
-  // like any other odd stream.
-  const std::size_t pairs = low_count(x.size());
-  const std::size_t chunk_pairs =
-      (pairs + rtl::compiled::kLanes - 1) / rtl::compiled::kLanes;
-  const unsigned lanes =
-      static_cast<unsigned>((pairs + chunk_pairs - 1) / chunk_pairs);
-  const int latency = dp.info.latency;
-
-  LaneStreamResult out;
-  out.lanes.resize(lanes);
-  std::vector<std::size_t> lane_samples(lanes);  // chunk length, may be odd
-  std::vector<std::size_t> lane_pairs(lanes);    // fed pairs = ceil(len/2)
-  for (unsigned l = 0; l < lanes; ++l) {
-    const std::size_t base = 2 * l * chunk_pairs;
-    lane_samples[l] = std::min(2 * chunk_pairs, x.size() - base);
-    lane_pairs[l] = low_count(lane_samples[l]);
-    out.lanes[l].low.assign(low_count(lane_samples[l]), 0);
-    out.lanes[l].high.assign(high_count(lane_samples[l]), 0);
-  }
-
-  // Each lane mirror-extends its own chunk, exactly like run_impl does for
-  // the whole signal.
-  const auto lane_sample = [&](unsigned l, std::ptrdiff_t pos) {
-    const std::size_t base = 2 * l * chunk_pairs;
-    return x[base + dsp::mirror_index(pos, lane_samples[l])];
-  };
-  std::vector<std::uint64_t> bits;
-  const auto drive = [&](const rtl::Bus& bus, std::ptrdiff_t t, int parity) {
-    const std::size_t width = bus.bits.size();
-    bits.assign(width, 0);
-    for (unsigned l = 0; l < lanes; ++l) {
-      const std::ptrdiff_t lane_half = static_cast<std::ptrdiff_t>(lane_pairs[l]);
-      const std::ptrdiff_t feed =
-          t < lane_half + kGuardPairs ? t : lane_half + kGuardPairs - 1;
-      const std::int64_t v = lane_sample(l, 2 * feed + parity);
-      for (std::size_t b = 0; b < width; ++b) {
-        bits[b] |= static_cast<std::uint64_t>((v >> b) & 1) << l;
-      }
-    }
-    for (std::size_t b = 0; b < width; ++b) {
-      sim.set_input_mask(bus.bits[b], bits[b]);
-    }
-  };
-
-  const std::ptrdiff_t total_cycles =
-      static_cast<std::ptrdiff_t>(chunk_pairs) + 2 * kGuardPairs + latency;
-  for (std::ptrdiff_t c = 0; c < total_cycles; ++c) {
-    const std::ptrdiff_t t = c - kGuardPairs;
-    drive(dp.in_even, t, 0);
-    drive(dp.in_odd, t, 1);
-    sim.step();
-    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
-    for (unsigned l = 0; l < lanes; ++l) {
-      if (i >= 0 && i < static_cast<std::ptrdiff_t>(out.lanes[l].low.size())) {
-        out.lanes[l].low[static_cast<std::size_t>(i)] =
-            sim.read_bus(dp.out_low, l);
-        if (i < static_cast<std::ptrdiff_t>(out.lanes[l].high.size())) {
-          out.lanes[l].high[static_cast<std::size_t>(i)] =
-              sim.read_bus(dp.out_high, l);
-        }
-      }
-    }
-  }
-  // Single-sample chunks pass through (the JPEG2000 single-sample rule, as
-  // run_stream applies); overwrite whatever the constant-fed core produced.
-  for (unsigned l = 0; l < lanes; ++l) {
-    if (lane_samples[l] == 1) {
-      out.lanes[l].low[0] = x[2 * l * chunk_pairs];
-    }
-  }
-  out.cycles = static_cast<std::uint64_t>(total_cycles);
-  for (unsigned l = 0; l < lanes; ++l) {
-    out.lanes[l].cycles = out.cycles;
-  }
-  return out;
-}
-
 std::uint64_t stream_cycle_count(const BuiltDatapath& dp, std::size_t n) {
   if (n == 0) {
     throw std::invalid_argument("stream_cycle_count: empty signal");

@@ -14,7 +14,6 @@
 #include "hw/lifting_datapath.hpp"
 #include "rtl/activity_sim.hpp"
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
 #include "rtl/compiled/cone_session.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/simulator.hpp"
@@ -99,21 +98,6 @@ extern template std::vector<StreamResult> run_stream_batch<2>(
 extern template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
-
-/// Batched activity path: partitions a signal of any non-zero length into
-/// up to 64 contiguous chunks (the final chunk may be odd), one per lane,
-/// and streams them all in one
-/// compiled pass (each chunk is mirror-extended independently, so sub-band
-/// values near chunk seams differ from the single-stream transform -- fine
-/// for switching-activity workloads, not for codec output).  Enable the
-/// simulator's activity counters first to harvest toggle statistics.
-struct LaneStreamResult {
-  std::vector<StreamResult> lanes;  ///< per-lane chunk transforms
-  std::uint64_t cycles = 0;         ///< batch cycles (all lanes in parallel)
-};
-[[nodiscard]] LaneStreamResult run_stream_lanes(
-    const BuiltDatapath& dp, rtl::compiled::CompiledSimulator& sim,
-    std::span<const std::int64_t> x);
 
 /// Cycles one call to run_stream/run_stream_faulty consumes for an
 /// `n`-sample signal on `dp` (payload + guards + flush); campaign schedulers

@@ -1,6 +1,8 @@
 // Batched fault overlay for the compiled engine: one fault per lane, so a
 // single tape pass carries 64*W independent fault trials of a campaign
 // (64 per state word; W words per slot -- see wide_simulator.hpp).
+// BatchFaultSession names the 64-lane W=1 session that the stream paths
+// and the equivalence harness use.
 //
 // Per-cycle semantics replicate rtl::FaultInjector::step() exactly, lane by
 // lane: glitch/stuck forces pin their net during the settle of the scheduled
@@ -22,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "rtl/compiled/compiled_simulator.hpp"
 #include "rtl/compiled/cone_index.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/fault.hpp"
@@ -188,12 +189,7 @@ class WideBatchSession {
   std::uint64_t cycle_ = 0;
 };
 
-/// The 64-lane session of the original engine, with the packed-mask surface.
-class BatchFaultSession : public WideBatchSession<1> {
- public:
-  using WideBatchSession<1>::WideBatchSession;
-
-  [[nodiscard]] std::uint64_t watch_mask() const { return watch_block().w[0]; }
-};
+/// The 64-lane session: one state word per slot.
+using BatchFaultSession = WideBatchSession<1>;
 
 }  // namespace dwt::rtl::compiled

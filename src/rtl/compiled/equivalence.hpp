@@ -1,5 +1,7 @@
 // Differential-equivalence harness: proves the compiled bit-parallel engine
-// bit-exact against the interpreted zero-delay rtl::Simulator.
+// bit-exact against the interpreted zero-delay rtl::Simulator.  The compiled
+// side runs the simulators' default threaded tier, so this pins the
+// threaded walker -- fault overlays included -- against the oracle.
 //
 // The harness drives both engines with the same randomized vector streams
 // (one stream per lane, from a seeded common::Rng) and compares EVERY net on

@@ -8,8 +8,6 @@ const char* to_string(ExecTier tier) {
   switch (tier) {
     case ExecTier::kAuto:
       return "auto";
-    case ExecTier::kSwitch:
-      return "interpreter";
     case ExecTier::kThreaded:
       return "threaded";
     case ExecTier::kNative:
@@ -21,8 +19,6 @@ const char* to_string(ExecTier tier) {
 bool parse_exec_tier(const std::string& text, ExecTier* out) {
   if (text == "auto") {
     *out = ExecTier::kAuto;
-  } else if (text == "interpreter" || text == "switch") {
-    *out = ExecTier::kSwitch;
   } else if (text == "threaded") {
     *out = ExecTier::kThreaded;
   } else if (text == "native") {
@@ -51,10 +47,13 @@ bool native_supported(unsigned words) {
 ExecTier resolve_exec_tier(ExecTier requested, unsigned words) {
   // The environment override wins over every programmatic request: it is
   // the operational kill-switch (disable the JIT fleet-wide) and the CI
-  // lever that forces the portable tier through full workloads.
+  // lever that forces the portable tier through full workloads.  Only
+  // "auto" and "native" leave the JIT reachable; any other value -- a
+  // retired tier name or a typo included -- means threaded, so a
+  // misspelled kill-switch never quietly turns the JIT back on.
   if (const char* env = std::getenv("DWT_EXEC_TIER")) {
-    ExecTier from_env = ExecTier::kAuto;
-    if (parse_exec_tier(env, &from_env) && from_env != ExecTier::kAuto) {
+    ExecTier from_env = ExecTier::kThreaded;
+    if (!parse_exec_tier(env, &from_env) || from_env != ExecTier::kAuto) {
       requested = from_env;
     }
   }

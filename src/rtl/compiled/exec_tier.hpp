@@ -1,14 +1,13 @@
 // Execution tiers for the compiled tape engine.
 //
-// The levelized instruction tape (see tape.hpp) can be executed three ways,
-// all bit-identical over the same LaneBlock<W> state:
+// The levelized instruction tape (see tape.hpp) can be executed two ways,
+// bit-identical over the same LaneBlock<W> state:
 //
-//   kSwitch   -- the original per-instruction `switch` interpreter loop.
-//   kThreaded -- computed-goto direct-threaded dispatch (GNU labels-as-
-//                values): each instruction jumps straight to the next
-//                opcode's kernel, removing the loop + switch overhead.
-//                Falls back to kSwitch when the compiler lacks the
-//                extension.
+//   kThreaded -- the portable walker and every simulator's default:
+//                computed-goto direct-threaded dispatch (GNU labels-as-
+//                values), each instruction jumping straight to the next
+//                opcode's kernel; other compilers reach the same kernels
+//                through a switch loop.
 //   kNative   -- the tape lowered to straight-line x86-64 machine code in
 //                an mmap'd executable buffer (native_block.hpp): scalar for
 //                W=1, VEX/AVX2 for W=2/4.  Selected by runtime CPU-feature
@@ -18,9 +17,11 @@
 //
 // kAuto, the default everywhere a tier is plumbed through options structs,
 // resolves to the fastest supported tier (native where the host allows,
-// threaded otherwise).  The DWT_EXEC_TIER environment variable
-// ("interpreter" | "threaded" | "native") overrides every programmatic
-// request -- the CI kill-switch that keeps the portable tiers exercised.
+// threaded otherwise).  The DWT_EXEC_TIER environment variable overrides
+// every programmatic request -- the kill-switch that keeps the JIT off and
+// the portable tier exercised.  It fails safe: "auto" and "native" follow
+// the request/host as usual, and any other set value, recognized or not,
+// forces the threaded tier.
 #pragma once
 
 #include <string>
@@ -28,16 +29,15 @@
 namespace dwt::rtl::compiled {
 
 enum class ExecTier {
-  kAuto = 0,      // resolve to the fastest supported tier
-  kSwitch = 1,    // per-instruction switch interpreter
-  kThreaded = 2,  // computed-goto threaded dispatch
-  kNative = 3,    // JIT'd straight-line machine code
+  kAuto,      // resolve to the fastest supported tier
+  kThreaded,  // computed-goto threaded dispatch
+  kNative,    // JIT'd straight-line machine code
 };
 
 [[nodiscard]] const char* to_string(ExecTier tier);
 
-/// Parses "auto" | "interpreter" | "switch" | "threaded" | "native".
-/// Returns false (leaving *out untouched) on anything else.
+/// Parses "auto" | "threaded" | "native".  Returns false (leaving *out
+/// untouched) on anything else.
 [[nodiscard]] bool parse_exec_tier(const std::string& text, ExecTier* out);
 
 /// True when the native emitter can target this host for tapes of `words`

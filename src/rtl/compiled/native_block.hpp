@@ -30,7 +30,7 @@
 //
 // build() returns nullptr when the host cannot run the code (non-x86-64,
 // missing AVX2 for W>1, W^X mapping refused by the kernel, or a tape too
-// large for disp32 addressing) -- callers fall back to the portable tiers.
+// large for disp32 addressing) -- callers fall back to the threaded tier.
 // Blocks are immutable after construction and safe to share across threads.
 #pragma once
 

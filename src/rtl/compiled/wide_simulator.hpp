@@ -1,18 +1,34 @@
-// Width-templated bit-parallel simulation core.
+// Bit-parallel batch simulator for compiled tapes.
 //
 // WideSimulator<W> evaluates a compiled Tape with 64*W independent test
 // vectors: every signal slot holds a LaneBlock<W> -- W consecutive
 // std::uint64_t lane words -- and the instruction kernels run fixed-trip
 // loops over the W words, which the compiler unrolls and auto-vectorizes
 // (W=4 is one 256-bit AVX2 op or two SSE2 ops per gate).  Lane L of the
-// batch lives in word L/64, bit L%64.
+// batch lives in word L/64, bit L%64.  WideSimulator<1> is the 64-lane
+// engine behind the campaign runner and the gate-level stream paths.
 //
-// Semantics are those of CompiledSimulator (see compiled_simulator.hpp),
-// which is now the W=1 instantiation: zero-delay settle over the levelized
-// tape, two-phase clock edge, force/flip fault overlays as lane masks --
-// here widened to lane *blocks*.  State resets copy the tape's constant
-// image (one broadcast per slot), so per-trial resets are a straight memcpy
-// rather than a walk over constant slots.
+// Semantics match the scalar zero-delay rtl::Simulator lane-for-lane:
+//   * eval() settles the combinational cloud (dependency-ordered tape pass);
+//   * clock_edge() moves every DFF's settled D block into its Q block
+//     (two-phase, race-free);
+//   * step() = eval() + clock_edge();
+//   * all state resets to the tape's constant image (one broadcast per
+//     slot), so per-trial resets are a straight copy.
+//
+// Fault overlays are lane masks: force() pins chosen lanes of a net to
+// chosen values during eval (the compiled analogue of FaultInjector's
+// settle-with-pins), flip_state() XORs freshly clocked DFF lanes (SEU).
+//
+// Optional per-slot toggle counters accumulate popcount(new ^ old) across
+// cycles; activity_stats() exports them as rtl::ActivityStats (indexed by
+// NetId) so fpga::estimate_power consumes batched runs directly.  Zero-delay
+// toggles exclude combinational glitches -- a fast screening lower bound,
+// not a replacement for the unit-delay simulators.
+//
+// eval() walks the tape with the one portable walker, direct-threaded
+// dispatch (kThreaded, every simulator's default), or runs the native block
+// (kNative) once set_exec_tier()/set_native() select it; see exec_tier.hpp.
 //
 // On optimized tapes some nets may be unmaterialized (Tape::materialized()
 // == false): observing or driving them throws, but force()/release() on
@@ -39,9 +55,8 @@
 #include "rtl/compiled/tape.hpp"
 #include "rtl/netlist.hpp"
 
-// Direct-threaded dispatch (the kThreaded tier) relies on the GNU
-// labels-as-values extension; elsewhere it silently degrades to the switch
-// interpreter, which computes the same words.
+// Direct-threaded dispatch relies on the GNU labels-as-values extension;
+// elsewhere run_tape() dispatches the same kernels through a switch loop.
 #if defined(__GNUC__) || defined(__clang__)
 #define DWT_HAS_COMPUTED_GOTO 1
 #else
@@ -56,7 +71,7 @@ inline constexpr unsigned kWordLanes = 64;
 /// Minimal cache-line-aligned allocator for the slot-major state arrays.
 /// A default std::vector<std::uint64_t> is only 16-byte aligned, so at W=4
 /// half of all 32-byte slot accesses straddle a cache line -- the native
-/// tier's ymm loads/stores (and the compiler's vectorized interpreter
+/// tier's ymm loads/stores (and the compiler's vectorized threaded
 /// kernels) pay a split-access penalty on every other slot.  64-byte
 /// alignment makes every W=2/W=4 slot line-local.
 template <typename T>
@@ -195,21 +210,21 @@ class WideSimulator {
   }
   /// Attaches a pre-built (typically cache-shared) native block and selects
   /// the native tier.  A null block, an unsupported host, or a DWT_EXEC_TIER
-  /// override demoting the request leaves the resolved portable tier
-  /// instead.  Throws if the block was built for another width or tape.
+  /// override demoting the request leaves the threaded tier instead.
+  /// Throws if the block was built for another width or tape.
   void set_native(std::shared_ptr<const NativeBlock> block) {
     if (block && (block->words() != W ||
                   block->instr_count() != tape_->instrs().size())) {
       throw std::invalid_argument(
           "WideSimulator::set_native: block does not match tape");
     }
-    const ExecTier resolved = resolve_exec_tier(ExecTier::kNative, W);
-    if (resolved == ExecTier::kNative && block) {
+    if (block &&
+        resolve_exec_tier(ExecTier::kNative, W) == ExecTier::kNative) {
       native_ = std::move(block);
       tier_ = ExecTier::kNative;
     } else {
       native_.reset();
-      tier_ = resolved == ExecTier::kNative ? ExecTier::kThreaded : resolved;
+      tier_ = ExecTier::kThreaded;
     }
   }
   [[nodiscard]] ExecTier exec_tier() const { return tier_; }
@@ -281,26 +296,18 @@ class WideSimulator {
     if (forced_slots_.empty()) {
       // The native block is a full-tape settle with no overlay hooks: it
       // only runs for unforced whole-range evals.  Cone-restricted ranges
-      // and forced evals below drop to the portable tiers, which compute
+      // and forced evals below drop to the threaded walker, which computes
       // the same words -- so tier choice never changes results.
       if (tier_ == ExecTier::kNative && lo == 0 &&
           hi == tape_->instrs().size()) {
         native_->run(s);
         return;
       }
-      if (tier_ != ExecTier::kSwitch) {
-        run_threaded<false>(s, tape, lo, hi);
-        return;
-      }
-      for (std::size_t i = lo; i < hi; ++i) exec<false>(s, tape[i]);
+      run_tape<false>(s, tape, lo, hi);
       return;
     }
     apply_forces();
-    if (tier_ != ExecTier::kSwitch) {
-      run_threaded<true>(s, tape, lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) exec<true>(s, tape[i]);
+    run_tape<true>(s, tape, lo, hi);
   }
 
   void clock_edge() {
@@ -506,72 +513,45 @@ class WideSimulator {
     }
   }
 
-  /// One instruction over all W words.  Results are computed into locals
-  /// before the store so the per-word loops stay dependence-free.
-  template <bool Forced>
+  /// One gate of opcode K over all W words: the single definition of every
+  /// tape kernel, reached from both dispatch forms of run_tape().  Only the
+  /// operands K reads are addressed; results go through locals before the
+  /// store so the per-word loop stays dependence-free.
+  template <Op K, bool Forced>
   void exec(std::uint64_t* const s, const Instr& it) {
+    constexpr bool kUnary = K == Op::kNot;
+    constexpr bool kBinary = K == Op::kAnd || K == Op::kOr || K == Op::kXor;
     const std::uint64_t* const a = s + std::size_t{it.a} * W;
-    const std::uint64_t* const b = s + std::size_t{it.b} * W;
-    const std::uint64_t* const c = s + std::size_t{it.c} * W;
-    std::uint64_t* const o = s + std::size_t{it.out} * W;
-    std::uint64_t v[W] = {};  // every case overwrites; init keeps -Werror quiet
-    switch (it.op) {
-      case Op::kNot:
-        for (unsigned k = 0; k < W; ++k) v[k] = ~a[k];
-        break;
-      case Op::kAnd:
-        for (unsigned k = 0; k < W; ++k) v[k] = a[k] & b[k];
-        break;
-      case Op::kOr:
-        for (unsigned k = 0; k < W; ++k) v[k] = a[k] | b[k];
-        break;
-      case Op::kXor:
-        for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k];
-        break;
-      case Op::kMux:
-        for (unsigned k = 0; k < W; ++k) v[k] = (c[k] & b[k]) | (~c[k] & a[k]);
-        break;
-      case Op::kAddSum:
-        for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k] ^ c[k];
-        break;
-      case Op::kAddCarry:
-        for (unsigned k = 0; k < W; ++k) {
-          v[k] = (a[k] & b[k]) | (c[k] & (a[k] ^ b[k]));
-        }
-        break;
-      case Op::kFullAdd: {
-        std::uint64_t v2[W];
-        for (unsigned k = 0; k < W; ++k) {
-          const std::uint64_t ax = a[k], bx = b[k], cx = c[k];
-          v[k] = ax ^ bx ^ cx;
-          v2[k] = (ax & bx) | (cx & (ax ^ bx));
-        }
-        std::uint64_t* const o2 = s + std::size_t{it.out2} * W;
-        if constexpr (Forced) {
-          if (forced_[it.out2]) {
-            for (unsigned k = 0; k < W; ++k) {
-              v2[k] = (v2[k] & force_keep_[it.out2 * W + k]) |
-                      force_val_[it.out2 * W + k];
-            }
-          }
-        }
-        for (unsigned k = 0; k < W; ++k) o2[k] = v2[k];
-        break;
+    const std::uint64_t* const b = kUnary ? a : s + std::size_t{it.b} * W;
+    const std::uint64_t* const c =
+        kUnary || kBinary ? a : s + std::size_t{it.c} * W;
+    std::uint64_t v[W];
+    [[maybe_unused]] std::uint64_t carry[W];
+    for (unsigned k = 0; k < W; ++k) {
+      const std::uint64_t x = a[k], y = b[k], z = c[k];
+      if constexpr (K == Op::kNot) {
+        v[k] = ~x;
+      } else if constexpr (K == Op::kAnd) {
+        v[k] = x & y;
+      } else if constexpr (K == Op::kOr) {
+        v[k] = x | y;
+      } else if constexpr (K == Op::kXor) {
+        v[k] = x ^ y;
+      } else if constexpr (K == Op::kMux) {
+        v[k] = (z & y) | (~z & x);
+      } else if constexpr (K == Op::kAddCarry) {
+        v[k] = (x & y) | (z & (x ^ y));
+      } else {  // kAddSum, and the sum half of kFullAdd
+        v[k] = x ^ y ^ z;
       }
+      if constexpr (K == Op::kFullAdd) carry[k] = (x & y) | (z & (x ^ y));
     }
-    if constexpr (Forced) {
-      if (forced_[it.out]) {
-        for (unsigned k = 0; k < W; ++k) {
-          v[k] =
-              (v[k] & force_keep_[it.out * W + k]) | force_val_[it.out * W + k];
-        }
-      }
-    }
-    for (unsigned k = 0; k < W; ++k) o[k] = v[k];
+    if constexpr (K == Op::kFullAdd) store_result<Forced>(s, it.out2, carry);
+    store_result<Forced>(s, it.out, v);
   }
 
   /// Pins (when Forced) and stores one result block -- the common tail of
-  /// every threaded kernel.
+  /// every kernel.
   template <bool Forced>
   void store_result(std::uint64_t* const s, Slot out,
                     const std::uint64_t* const v) {
@@ -587,14 +567,15 @@ class WideSimulator {
     for (unsigned k = 0; k < W; ++k) o[k] = v[k];
   }
 
-  /// Direct-threaded tape walk: each kernel ends by jumping straight to the
-  /// next instruction's kernel (computed goto), so there is no loop test or
-  /// switch dispatch between instructions.  Kernel bodies are word-for-word
-  /// the exec<Forced> cases; the label table is indexed by Op, whose
-  /// enumerators are contiguous from kNot.
+  /// Walks instructions [lo, hi) of the tape.  With GNU labels-as-values
+  /// the walk is direct-threaded: each kernel ends by jumping straight to
+  /// the next instruction's kernel (computed goto), so there is no loop test
+  /// or switch dispatch between instructions.  The label table is indexed by
+  /// Op, whose enumerators are contiguous from kNot.  Other compilers get a
+  /// plain switch loop over the same kernels.
   template <bool Forced>
-  void run_threaded(std::uint64_t* const s, const Instr* const tape,
-                    std::size_t lo, std::size_t hi) {
+  void run_tape(std::uint64_t* const s, const Instr* const tape,
+                std::size_t lo, std::size_t hi) {
 #if DWT_HAS_COMPUTED_GOTO
     if (lo >= hi) return;
     static const void* const targets[] = {
@@ -602,97 +583,42 @@ class WideSimulator {
         &&op_mux, &&op_add_sum, &&op_add_carry, &&op_full_add};
     const Instr* ip = tape + lo;
     const Instr* const end = tape + hi;
-#define DWT_THREADED_NEXT()                           \
-  do {                                                \
-    if (++ip == end) return;                          \
-    goto* targets[static_cast<unsigned>(ip->op)];     \
-  } while (0)
+#define DWT_THREADED_KERNEL(label, kind)            \
+  label:                                            \
+    exec<kind, Forced>(s, *ip);                     \
+    if (++ip == end) return;                        \
     goto* targets[static_cast<unsigned>(ip->op)];
-  op_not : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = ~a[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_and : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] & b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_or : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] | b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_xor : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_mux : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = (c[k] & b[k]) | (~c[k] & a[k]);
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_add_sum : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k] ^ c[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_add_carry : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) {
-      v[k] = (a[k] & b[k]) | (c[k] & (a[k] ^ b[k]));
-    }
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_full_add : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    std::uint64_t v2[W];
-    for (unsigned k = 0; k < W; ++k) {
-      const std::uint64_t ax = a[k], bx = b[k], cx = c[k];
-      v[k] = ax ^ bx ^ cx;
-      v2[k] = (ax & bx) | (cx & (ax ^ bx));
-    }
-    store_result<Forced>(s, ip->out2, v2);
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-#undef DWT_THREADED_NEXT
+    goto* targets[static_cast<unsigned>(ip->op)];
+    DWT_THREADED_KERNEL(op_not, Op::kNot)
+    DWT_THREADED_KERNEL(op_and, Op::kAnd)
+    DWT_THREADED_KERNEL(op_or, Op::kOr)
+    DWT_THREADED_KERNEL(op_xor, Op::kXor)
+    DWT_THREADED_KERNEL(op_mux, Op::kMux)
+    DWT_THREADED_KERNEL(op_add_sum, Op::kAddSum)
+    DWT_THREADED_KERNEL(op_add_carry, Op::kAddCarry)
+    DWT_THREADED_KERNEL(op_full_add, Op::kFullAdd)
+#undef DWT_THREADED_KERNEL
 #else   // !DWT_HAS_COMPUTED_GOTO
-    for (std::size_t i = lo; i < hi; ++i) exec<Forced>(s, tape[i]);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Instr& it = tape[i];
+      switch (it.op) {
+        case Op::kNot: exec<Op::kNot, Forced>(s, it); break;
+        case Op::kAnd: exec<Op::kAnd, Forced>(s, it); break;
+        case Op::kOr: exec<Op::kOr, Forced>(s, it); break;
+        case Op::kXor: exec<Op::kXor, Forced>(s, it); break;
+        case Op::kMux: exec<Op::kMux, Forced>(s, it); break;
+        case Op::kAddSum: exec<Op::kAddSum, Forced>(s, it); break;
+        case Op::kAddCarry: exec<Op::kAddCarry, Forced>(s, it); break;
+        case Op::kFullAdd: exec<Op::kFullAdd, Forced>(s, it); break;
+      }
+    }
 #endif  // DWT_HAS_COMPUTED_GOTO
   }
 
   void apply_forces() {
     // Source slots (primary inputs, DFF outputs, constants) are never
     // written by tape instructions; pin them up front.  Instruction outputs
-    // are re-pinned as they are computed, inside exec<true>().
+    // are re-pinned as they are computed, inside run_tape<true>().
     for (const Slot s : forced_slots_) {
       for (unsigned k = 0; k < W; ++k) {
         state_[s * W + k] =
@@ -741,7 +667,7 @@ class WideSimulator {
   }
 
   std::shared_ptr<const Tape> tape_;
-  ExecTier tier_ = ExecTier::kSwitch;            // always concrete, never kAuto
+  ExecTier tier_ = ExecTier::kThreaded;          // always concrete, never kAuto
   std::shared_ptr<const NativeBlock> native_;    // non-null iff tier_ == kNative
   StateVec state_;                         // slot-major, W words per slot
   std::vector<std::uint64_t> force_keep_;  // per word: ~forced-lanes mask

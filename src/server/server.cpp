@@ -87,7 +87,7 @@ hw::TileOptions tile_options(const Request& req,
   opt.opt_level = req.opt_level;
   // Workers always run the fastest execution tier the host supports
   // (kAuto); the DWT_EXEC_TIER environment variable on the daemon is the
-  // operational kill-switch back to a portable tier.  Tier choice never
+  // operational kill-switch back to the threaded tier.  Tier choice never
   // changes response bytes, so this is invisible to clients.
   opt.exec_tier = rtl::compiled::ExecTier::kAuto;
   return opt;

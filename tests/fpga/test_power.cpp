@@ -5,7 +5,7 @@
 #include "common/rng.hpp"
 #include "fpga/mapped_sim.hpp"
 #include "rtl/builder.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
+#include "rtl/compiled/wide_simulator.hpp"
 
 namespace dwt::fpga {
 namespace {
@@ -45,13 +45,13 @@ struct Harness {
   }
 
   /// Batched zero-delay activity: 64 random vector streams in one compiled
-  /// pass, the workload estimate_power_batched consumes.
+  /// pass, a glitch-free screening input for estimate_power.
   rtl::ActivityStats run_batched(std::uint64_t seed, int cycles) {
-    rtl::compiled::CompiledSimulator sim(nl);
+    rtl::compiled::WideSimulator<1> sim(nl);
     sim.enable_activity();
     common::Rng rng(seed);
     for (int t = 0; t < cycles; ++t) {
-      for (unsigned lane = 0; lane < rtl::compiled::kLanes; ++lane) {
+      for (unsigned lane = 0; lane < rtl::compiled::kWordLanes; ++lane) {
         sim.set_bus(in, lane, rng.uniform(-128, 127));
       }
       sim.step();
@@ -114,32 +114,6 @@ TEST(Power, RejectsDegenerateInputs) {
   EXPECT_THROW((void)estimate_power(h.mapped, rtl::ActivityStats{}, p, 15.0),
                std::invalid_argument);
   EXPECT_THROW((void)estimate_power(h.mapped, stats, p, 0.0), std::invalid_argument);
-}
-
-TEST(Power, BatchedEstimateMatchesBaseAtUnityMargin) {
-  Harness h(2);
-  const auto stats = h.run_batched(8, 50);
-  const auto& p = ApexDeviceParams::apex20ke();
-  const PowerBreakdown base = estimate_power(h.mapped, stats, p, 15.0);
-  const PowerBreakdown batched =
-      estimate_power_batched(h.mapped, stats, p, 15.0);
-  EXPECT_DOUBLE_EQ(batched.logic_mw, base.logic_mw);
-  EXPECT_DOUBLE_EQ(batched.clock_mw, base.clock_mw);
-  EXPECT_DOUBLE_EQ(batched.total_mw(), base.total_mw());
-}
-
-TEST(Power, BatchedGlitchMarginScalesLogicOnly) {
-  Harness h(2);
-  const auto stats = h.run_batched(9, 50);
-  const auto& p = ApexDeviceParams::apex20ke();
-  const PowerBreakdown base = estimate_power(h.mapped, stats, p, 15.0);
-  const PowerBreakdown margined =
-      estimate_power_batched(h.mapped, stats, p, 15.0, 1.3);
-  EXPECT_NEAR(margined.logic_mw, 1.3 * base.logic_mw, 1e-9);
-  EXPECT_DOUBLE_EQ(margined.clock_mw, base.clock_mw);
-  EXPECT_DOUBLE_EQ(margined.static_mw, base.static_mw);
-  EXPECT_THROW((void)estimate_power_batched(h.mapped, stats, p, 15.0, 0.5),
-               std::invalid_argument);
 }
 
 TEST(Power, BatchedActivityTracksUnitDelayWorkload) {

@@ -1,13 +1,12 @@
-// The compiled batched streaming surfaces against the interpreted
-// run_stream reference: run_stream_batch (per-lane fault trials over one
-// shared stimulus) and run_stream_lanes (chunk-per-lane activity batching).
+// The compiled batched streaming surface against the interpreted run_stream
+// reference: run_stream_batch (per-lane fault trials over one shared
+// stimulus).
 #include "hw/stream_runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "common/rng.hpp"
 #include "dsp/image_gen.hpp"
 #include "hw/designs.hpp"
 #include "rtl/compiled/tape.hpp"
@@ -63,62 +62,6 @@ TEST(StreamBatch, ArmedLaneDivergesOthersStayGolden) {
   EXPECT_EQ(lanes[2].low, golden.low);
   EXPECT_EQ(lanes[4].low, golden.low);
   EXPECT_NE(lanes[3].low, golden.low);  // the faulty lane
-}
-
-TEST(StreamLanes, ChunkedTransformMatchesPerChunkReference) {
-  const BuiltDatapath dp = build_design(DesignId::kDesign2);
-  const auto x = test_signal(64);  // 32 pairs -> 32 single-pair lanes
-  rtl::compiled::CompiledSimulator sim(dp.netlist);
-  const LaneStreamResult batch = run_stream_lanes(dp, sim, x);
-  ASSERT_FALSE(batch.lanes.empty());
-  EXPECT_GT(batch.cycles, 0u);
-
-  // Each lane transformed one contiguous chunk with its own mirror
-  // extension; the interpreted engine over the same chunk must agree.
-  std::size_t offset = 0;
-  for (const StreamResult& lane : batch.lanes) {
-    const std::size_t chunk = lane.low.size() + lane.high.size();
-    ASSERT_LE(offset + chunk, x.size());
-    rtl::Simulator ref(dp.netlist);
-    const StreamResult expect = run_stream(
-        dp, ref, std::span<const std::int64_t>(x.data() + offset, chunk));
-    EXPECT_EQ(lane.low, expect.low);
-    EXPECT_EQ(lane.high, expect.high);
-    offset += chunk;
-  }
-  EXPECT_EQ(offset, x.size());  // every sample landed in exactly one lane
-}
-
-TEST(StreamLanes, OddSignalKeepsFinalPartialChunk) {
-  const BuiltDatapath dp = build_design(DesignId::kDesign2);
-  const auto x = test_signal(131);  // 66 fed pairs -> uneven 3-pair chunks
-  rtl::compiled::CompiledSimulator sim(dp.netlist);
-  const LaneStreamResult batch = run_stream_lanes(dp, sim, x);
-
-  std::size_t offset = 0;
-  for (const StreamResult& lane : batch.lanes) {
-    const std::size_t chunk = lane.low.size() + lane.high.size();
-    ASSERT_LE(offset + chunk, x.size());
-    rtl::Simulator ref(dp.netlist);
-    const StreamResult expect = run_stream(
-        dp, ref, std::span<const std::int64_t>(x.data() + offset, chunk));
-    EXPECT_EQ(lane.low, expect.low) << "offset=" << offset;
-    EXPECT_EQ(lane.high, expect.high) << "offset=" << offset;
-    offset += chunk;
-  }
-  EXPECT_EQ(offset, x.size());  // the trailing odd sample was not dropped
-}
-
-TEST(StreamLanes, HarvestsActivityForPowerEstimation) {
-  const BuiltDatapath dp = build_design(DesignId::kDesign2);
-  const auto x = test_signal(64);
-  rtl::compiled::CompiledSimulator sim(dp.netlist);
-  sim.enable_activity();
-  const LaneStreamResult batch = run_stream_lanes(dp, sim, x);
-  (void)batch;
-  const rtl::ActivityStats stats = sim.activity_stats();
-  EXPECT_GT(stats.cycles, 0u);
-  EXPECT_GT(stats.total_toggles, 0u);
 }
 
 }  // namespace

@@ -181,64 +181,66 @@ TEST(CompiledEquivalence, OptMeetsInstructionReductionTarget) {
   }
 }
 
-/// Three execution tiers over one shared tape: the switch interpreter (the
-/// semantic reference), the threaded-dispatch interpreter, and the native
-/// x86-64 block.  Same stimulus into all three, every materialized net
-/// word-compared every cycle.  On hosts where the native tier is
-/// unsupported the third simulator demotes to threaded and the comparison
-/// degrades to a (still meaningful) two-way check.
+/// Three engines over one netlist: the scalar rtl::Simulator (the semantic
+/// reference, replayed on the first and last lane), the threaded walker and
+/// the native x86-64 block over one shared tape.  Same stimulus into all
+/// three; native is word-compared against threaded on every materialized
+/// net every cycle, and threaded against the oracle on its sampled lanes.
+/// On hosts where the native tier is unsupported the native simulator
+/// demotes to threaded and that leg degrades to a self-check.
 template <unsigned W>
 void expect_tiers_match(const rtl::Netlist& nl,
                         const std::shared_ptr<const rtl::compiled::Tape>& tape,
                         std::uint64_t seed, const std::string& what) {
   using Block = rtl::compiled::LaneBlock<W>;
   using rtl::compiled::ExecTier;
-  rtl::compiled::WideSimulator<W> ref(tape);
   rtl::compiled::WideSimulator<W> threaded(tape);
   rtl::compiled::WideSimulator<W> native(tape);
-  ref.set_exec_tier(ExecTier::kSwitch);
-  threaded.set_exec_tier(ExecTier::kThreaded);
   native.set_exec_tier(ExecTier::kNative);
-  if (std::getenv("DWT_EXEC_TIER") == nullptr) {
-    ASSERT_EQ(ref.exec_tier(), ExecTier::kSwitch);
-    ASSERT_EQ(threaded.exec_tier(), ExecTier::kThreaded);
-    if (rtl::compiled::native_supported(W)) {
-      ASSERT_EQ(native.exec_tier(), ExecTier::kNative) << what;
-    }
+  ASSERT_EQ(threaded.exec_tier(), ExecTier::kThreaded);
+  if (std::getenv("DWT_EXEC_TIER") == nullptr &&
+      rtl::compiled::native_supported(W)) {
+    ASSERT_EQ(native.exec_tier(), ExecTier::kNative) << what;
   }
+  const unsigned lanes[] = {0, Block::kLaneCount - 1};
+  std::vector<rtl::Simulator> oracle;
+  for (std::size_t i = 0; i < std::size(lanes); ++i) oracle.emplace_back(nl);
 
   common::Rng rng(seed);
   for (std::uint64_t cycle = 0; cycle < 6; ++cycle) {
     for (const rtl::NetId pi : nl.primary_inputs()) {
       Block b;
       for (unsigned k = 0; k < W; ++k) b.w[k] = rng.next_u64();
-      ref.set_input_block(pi, b);
       threaded.set_input_block(pi, b);
       native.set_input_block(pi, b);
+      for (std::size_t i = 0; i < std::size(lanes); ++i) {
+        oracle[i].set_input(pi, b.get(lanes[i]));
+      }
     }
-    ref.step();
     threaded.step();
     native.step();
+    for (rtl::Simulator& o : oracle) o.step();
     for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
       if (!tape->materialized(n)) continue;
-      const Block want = ref.block(n);
-      const Block got_threaded = threaded.block(n);
+      const Block want = threaded.block(n);
       const Block got_native = native.block(n);
       for (unsigned k = 0; k < W; ++k) {
-        ASSERT_EQ(want.w[k], got_threaded.w[k])
-            << what << " W=" << W << " threaded tier, net " << n << " word "
-            << k << " cycle " << cycle;
         ASSERT_EQ(want.w[k], got_native.w[k])
             << what << " W=" << W << " native tier, net " << n << " word "
             << k << " cycle " << cycle;
+      }
+      for (std::size_t i = 0; i < std::size(lanes); ++i) {
+        ASSERT_EQ(want.get(lanes[i]), oracle[i].value(n))
+            << what << " W=" << W << " threaded tier vs oracle, net " << n
+            << " lane " << lanes[i] << " cycle " << cycle;
       }
     }
   }
 }
 
 TEST(CompiledEquivalence, ThreeWayTierMatrixMatches) {
-  // The full seam matrix from the ISSUE: five designs x hardening x opt
-  // level x lane width, interpreter vs threaded vs native.  Tapes are
+  // The full seam matrix: five designs x hardening x opt level x lane
+  // width, scalar oracle vs threaded vs native.  Tapes are
   // width-independent, so each (netlist, level) compiles once and feeds
   // both widths.
   const rtl::HardeningStyle styles[] = {rtl::HardeningStyle::kNone,

@@ -13,11 +13,16 @@ Word input_word(Netlist& nl, const std::string& name, int bits) {
   return word_input(nl, name, bits);
 }
 
+// gtest prints this parameter as its raw bytes, and that string becomes the
+// ctest name. The tail is spelled out and zeroed so no uninitialised padding
+// (which differs from run to run) reaches the name.
 struct SumCase {
   SumStructure structure;
   AdderStyle style;
   bool pipelined;
+  unsigned char zero_tail[3] = {};
 };
+static_assert(sizeof(SumCase) == 12, "SumCase must have no implicit padding");
 
 class SumSignedTest : public ::testing::TestWithParam<SumCase> {};
 

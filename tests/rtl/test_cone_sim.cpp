@@ -174,7 +174,7 @@ void expect_cone_matches_full(hw::DesignId id, HardeningStyle harden) {
     EXPECT_EQ(want[l].low, got[l].low) << "lane " << l;
     EXPECT_EQ(want[l].high, got[l].high) << "lane " << l;
   }
-  EXPECT_EQ(full.watch_mask(), restricted.watch_block().w[0]);
+  EXPECT_EQ(full.watch_block(), restricted.watch_block());
   // The restriction must actually restrict (and never exceed full cost).
   EXPECT_LE(restricted.executed_instructions(),
             restricted.full_instructions());

@@ -1,8 +1,10 @@
-// Execution-tier seam: the threaded and native tiers must compute exactly
-// the words the switch interpreter computes -- on clean runs, under fault
-// overlays (where the native tier transparently drops to threaded), and
-// across resets.  Also pins the tier-resolution policy: kAuto picks the
-// fastest supported tier and DWT_EXEC_TIER overrides every request.
+// Execution-tier seam: the native tier must compute exactly the words the
+// threaded walker computes -- on clean runs, under fault overlays (where
+// the native tier transparently drops to threaded), and across resets --
+// and the threaded walker must match the scalar rtl::Simulator.  Also pins
+// the tier-resolution policy: simulators start threaded, kAuto picks the
+// fastest supported tier, and DWT_EXEC_TIER overrides every request,
+// failing safe to threaded on any value but "auto" and "native".
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
+#include "rtl/simulator.hpp"
 
 namespace dwt {
 namespace {
@@ -26,9 +29,9 @@ using rtl::compiled::OptLevel;
 using rtl::compiled::Tape;
 using rtl::compiled::WideSimulator;
 
-/// Drives identical random stimulus into a switch-tier reference and a
-/// `tier` subject over the same tape, and requires every materialized net
-/// to match on every cycle.
+/// Drives identical random stimulus into a threaded reference and a `tier`
+/// subject over the same tape, and requires every materialized net to match
+/// on every cycle.
 template <unsigned W>
 void expect_tier_matches(const rtl::Netlist& nl, OptLevel level, ExecTier tier,
                          std::uint64_t seed, bool with_faults) {
@@ -78,21 +81,75 @@ void expect_tier_matches(const rtl::Netlist& nl, OptLevel level, ExecTier tier,
   }
 }
 
+/// Threaded walk vs the scalar rtl::Simulator oracle: identical random
+/// stimulus, every materialized net compared every cycle on sampled lanes
+/// of every state word (first and last lane of each word).
+template <unsigned W>
+void expect_threaded_matches_oracle(const rtl::Netlist& nl, OptLevel level,
+                                    std::uint64_t seed) {
+  using Block = rtl::compiled::LaneBlock<W>;
+  const std::shared_ptr<const Tape> tape = rtl::compiled::compile(nl, level);
+  WideSimulator<W> sim(tape);
+  ASSERT_EQ(sim.exec_tier(), ExecTier::kThreaded);
+  std::vector<unsigned> lanes;
+  for (unsigned k = 0; k < W; ++k) {
+    lanes.push_back(k * rtl::compiled::kWordLanes);
+    lanes.push_back(k * rtl::compiled::kWordLanes + 63);
+  }
+  std::vector<rtl::Simulator> oracle;
+  oracle.reserve(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) oracle.emplace_back(nl);
+
+  const std::vector<rtl::NetId>& pis = nl.primary_inputs();
+  common::Rng rng(seed);
+  for (std::uint64_t cycle = 0; cycle < 24; ++cycle) {
+    for (const rtl::NetId pi : pis) {
+      Block b;
+      for (unsigned k = 0; k < W; ++k) b.w[k] = rng.next_u64();
+      sim.set_input_block(pi, b);
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        oracle[i].set_input(pi, b.get(lanes[i]));
+      }
+    }
+    sim.step();
+    for (rtl::Simulator& o : oracle) o.step();
+    for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
+      if (!tape->materialized(n)) continue;
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        ASSERT_EQ(sim.value(n, lanes[i]), oracle[i].value(n))
+            << "W=" << W << " net " << n << " lane " << lanes[i] << " cycle "
+            << cycle;
+      }
+    }
+  }
+}
+
 TEST(ExecTier, ParseAndPrintRoundTrip) {
   ExecTier t = ExecTier::kAuto;
-  EXPECT_TRUE(rtl::compiled::parse_exec_tier("interpreter", &t));
-  EXPECT_EQ(t, ExecTier::kSwitch);
-  EXPECT_TRUE(rtl::compiled::parse_exec_tier("switch", &t));
-  EXPECT_EQ(t, ExecTier::kSwitch);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("threaded", &t));
   EXPECT_EQ(t, ExecTier::kThreaded);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("native", &t));
   EXPECT_EQ(t, ExecTier::kNative);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("auto", &t));
   EXPECT_EQ(t, ExecTier::kAuto);
+  // The retired switch tier's spellings are unknown tiers now.
+  EXPECT_FALSE(rtl::compiled::parse_exec_tier("interpreter", &t));
+  EXPECT_FALSE(rtl::compiled::parse_exec_tier("switch", &t));
   EXPECT_FALSE(rtl::compiled::parse_exec_tier("jit", &t));
+  EXPECT_EQ(t, ExecTier::kAuto);  // untouched on failure
+  EXPECT_STREQ(to_string(ExecTier::kAuto), "auto");
   EXPECT_STREQ(to_string(ExecTier::kThreaded), "threaded");
   EXPECT_STREQ(to_string(ExecTier::kNative), "native");
+}
+
+TEST(ExecTier, DefaultTierIsThreaded) {
+  // A simulator that never calls set_exec_tier runs the threaded walker.
+  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
+  const auto tape = rtl::compiled::compile(dp.netlist);
+  EXPECT_EQ(WideSimulator<1>(tape).exec_tier(), ExecTier::kThreaded);
+  EXPECT_EQ(WideSimulator<2>(tape).exec_tier(), ExecTier::kThreaded);
+  EXPECT_EQ(WideSimulator<4>(tape).exec_tier(), ExecTier::kThreaded);
+  EXPECT_EQ(WideSimulator<4>(tape).native_block(), nullptr);
 }
 
 TEST(ExecTier, AutoResolvesToConcreteTier) {
@@ -108,39 +165,59 @@ TEST(ExecTier, AutoResolvesToConcreteTier) {
 }
 
 TEST(ExecTier, EnvOverrideWinsOverRequest) {
-  ::setenv("DWT_EXEC_TIER", "interpreter", 1);
+  ::setenv("DWT_EXEC_TIER", "threaded", 1);
   EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kNative, 4),
-            ExecTier::kSwitch);
+            ExecTier::kThreaded);
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
   WideSimulator<1> sim(dp.netlist);
   sim.set_exec_tier(ExecTier::kNative);
-  EXPECT_EQ(sim.exec_tier(), ExecTier::kSwitch);
-  EXPECT_EQ(sim.native_block(), nullptr);
-  ::setenv("DWT_EXEC_TIER", "threaded", 1);
-  sim.set_exec_tier(ExecTier::kAuto);
   EXPECT_EQ(sim.exec_tier(), ExecTier::kThreaded);
+  EXPECT_EQ(sim.native_block(), nullptr);
+  if (rtl::compiled::native_supported(1)) {
+    ::setenv("DWT_EXEC_TIER", "native", 1);
+    sim.set_exec_tier(ExecTier::kThreaded);
+    EXPECT_EQ(sim.exec_tier(), ExecTier::kNative);
+  }
+  ::setenv("DWT_EXEC_TIER", "auto", 1);
+  EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kThreaded, 1),
+            ExecTier::kThreaded);  // auto defers to the request
   ::unsetenv("DWT_EXEC_TIER");
 }
 
-TEST(ExecTier, ThreadedMatchesSwitchAllWidths) {
+TEST(ExecTier, EnvOverrideFailsSafeToThreaded) {
+  // A kill-switch value that does not parse -- the retired "interpreter"
+  // spelling or plain garbage -- must keep the JIT off, never fall through
+  // to kAuto's native pick.
+  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
+  for (const char* value : {"interpreter", "t#rb0"}) {
+    ::setenv("DWT_EXEC_TIER", value, 1);
+    for (const unsigned words : {1u, 2u, 4u}) {
+      EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kAuto, words),
+                ExecTier::kThreaded)
+          << value;
+      EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kNative, words),
+                ExecTier::kThreaded)
+          << value;
+    }
+    WideSimulator<4> sim(dp.netlist);
+    sim.set_exec_tier(ExecTier::kAuto);
+    EXPECT_EQ(sim.exec_tier(), ExecTier::kThreaded) << value;
+    EXPECT_EQ(sim.native_block(), nullptr) << value;
+  }
+  ::unsetenv("DWT_EXEC_TIER");
+}
+
+TEST(ExecTier, ThreadedMatchesOracleAllWidths) {
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign2);
   for (const OptLevel level :
        {OptLevel::kNone, OptLevel::kSafe, OptLevel::kFull}) {
-    expect_tier_matches<1>(dp.netlist, level, ExecTier::kThreaded, 101, false);
-    expect_tier_matches<2>(dp.netlist, level, ExecTier::kThreaded, 102, false);
-    expect_tier_matches<4>(dp.netlist, level, ExecTier::kThreaded, 103, false);
+    expect_threaded_matches_oracle<1>(dp.netlist, level, 101);
+    expect_threaded_matches_oracle<2>(dp.netlist, level, 102);
+    expect_threaded_matches_oracle<4>(dp.netlist, level, 103);
   }
 }
 
-TEST(ExecTier, ThreadedMatchesSwitchUnderFaultOverlays) {
-  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign4);
-  expect_tier_matches<1>(dp.netlist, OptLevel::kSafe, ExecTier::kThreaded, 201,
-                         true);
-  expect_tier_matches<4>(dp.netlist, OptLevel::kSafe, ExecTier::kThreaded, 202,
-                         true);
-}
-
-TEST(ExecTier, NativeMatchesSwitchAllWidths) {
+TEST(ExecTier, NativeMatchesThreadedAllWidths) {
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign3);
   for (const OptLevel level :
        {OptLevel::kNone, OptLevel::kSafe, OptLevel::kFull}) {
@@ -154,7 +231,7 @@ TEST(ExecTier, NativeMatchesSwitchAllWidths) {
   }
 }
 
-TEST(ExecTier, NativeMatchesSwitchUnderFaultOverlays) {
+TEST(ExecTier, NativeMatchesThreadedUnderFaultOverlays) {
   // Forces make eval() bypass the native block; results must still match.
   if (!rtl::compiled::native_supported(4)) {
     GTEST_SKIP() << "native tier unsupported on this host";
@@ -203,7 +280,7 @@ TEST(ExecTier, SetNativeRejectsMismatchedBlock) {
 /// (d = upstream q, must copy downstream-first), register rings (q's
 /// feeding each other's d's, scratch round-trip) and self-loops (d = own
 /// q, a no-op).  Build all three explicitly and require native step() to
-/// track the switch interpreter cycle for cycle.
+/// track the threaded tier cycle for cycle, and threaded the scalar oracle.
 TEST(ExecTier, NativeEdgeOrdersChainsRingsAndSelfLoops) {
   if (!rtl::compiled::native_supported(1)) {
     GTEST_SKIP() << "native tier unsupported on this host";
@@ -231,7 +308,7 @@ TEST(ExecTier, NativeEdgeOrdersChainsRingsAndSelfLoops) {
 
   expect_tier_matches<1>(nl, OptLevel::kNone, ExecTier::kNative, 501, false);
   expect_tier_matches<4>(nl, OptLevel::kNone, ExecTier::kNative, 502, false);
-  expect_tier_matches<4>(nl, OptLevel::kNone, ExecTier::kThreaded, 503, false);
+  expect_threaded_matches_oracle<4>(nl, OptLevel::kNone, 503);
 }
 
 TEST(ExecTier, TierSurvivesReset) {

@@ -5,7 +5,7 @@
 //   dwt97cli tile          <in.pgm> <out.pgm> [--octaves N] [--tile N]
 //                          [--threads N] [--backend NAME] [--design D]
 //                          [--adder ARCH] [--opt-level 0|1|2]
-//                          [--exec-tier interpreter|threaded|native|auto]
+//                          [--exec-tier threaded|native|auto]
 //   dwt97cli gen           <out.pgm> <width> <height> [seed]
 //   dwt97cli synth         [design 1..5] [--adder ARCH]
 //   dwt97cli verilog       <design 1..5> <out.v> [--adder ARCH]
@@ -18,11 +18,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "codec/codec.hpp"
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
@@ -36,6 +36,11 @@
 #include "rtl/verilog_writer.hpp"
 
 namespace {
+
+using dwt::tools::parse_long;
+using dwt::tools::read_file;
+using dwt::tools::report_missing_value;
+using dwt::tools::write_file;
 
 std::string adder_arch_names() {
   std::string names;
@@ -56,8 +61,8 @@ int usage() {
                "[--tile N] [--threads N]\n"
                "                      [--backend NAME] [--design D] "
                "[--adder ARCH]\n"
-               "                      [--opt-level 0|1|2] [--exec-tier "
-               "interpreter|threaded|native|auto]\n"
+               "                      [--opt-level 0|1|2] "
+               "[--exec-tier threaded|native|auto]\n"
                "  dwt97cli gen        <out.pgm> <width> <height> [seed]\n"
                "  dwt97cli synth      [design 1..5] [--adder ARCH]\n"
                "  dwt97cli verilog    <design 1..5> <out.v> [--adder ARCH]\n"
@@ -70,20 +75,6 @@ int usage() {
   return 2;
 }
 
-/// Strict numeric parsing: the whole token must be consumed and the value
-/// must be in range, otherwise the command falls through to the usage error
-/// (atoi-style silent zeros swallow typos like "--octaves 3x").
-bool parse_long(const char* s, long min, long max, long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
 bool parse_double(const char* s, double* out) {
   if (s == nullptr || *s == '\0') return false;
   errno = 0;
@@ -93,37 +84,6 @@ bool parse_double(const char* s, double* out) {
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;
-}
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  // Check after the write AND the close: a full disk must exit nonzero, not
-  // hand a truncated bitstream to the next pipeline stage.
-  out.close();
-  if (!out) throw std::runtime_error("write failed for " + path);
-}
-
-/// True when `arg` is one of the value-taking `flags`: prints the missing-
-/// value diagnostic so a trailing flag does not fall through as an unknown
-/// argument.
-bool report_missing_value(const char* arg,
-                          std::initializer_list<const char*> flags) {
-  for (const char* f : flags) {
-    if (std::strcmp(arg, f) == 0) {
-      std::fprintf(stderr, "missing value for %s\n", f);
-      return true;
-    }
-  }
-  return false;
 }
 
 int cmd_compress(int argc, char** argv) {
@@ -236,8 +196,8 @@ int cmd_tile(int argc, char** argv) {
       }
       opt.opt_level = static_cast<dwt::rtl::compiled::OptLevel>(v);
     } else if (std::strcmp(argv[i], "--exec-tier") == 0 && i + 1 < argc) {
-      // How the rtl-compiled backend walks its tape: the switch or threaded
-      // interpreter, the JIT'd native tier, or auto (fastest supported).
+      // How the rtl-compiled backend walks its tape: the threaded walker,
+      // the JIT'd native tier, or auto (fastest supported).
       // Every tier writes bit-identical output; DWT_EXEC_TIER overrides.
       if (!dwt::rtl::compiled::parse_exec_tier(argv[++i], &opt.exec_tier)) {
         std::fprintf(stderr, "bad --exec-tier value: %s\n", argv[i]);

@@ -29,19 +29,24 @@
 
 #include <chrono>
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "core/registry.hpp"
 #include "hw/designs.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 
 namespace {
+
+using dwt::tools::parse_long;
+using dwt::tools::read_file;
+using dwt::tools::report_missing_value;
+using dwt::tools::write_file;
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -65,49 +70,6 @@ int usage() {
       "backends: %s\n",
       dwt::core::backend_names().c_str());
   return 2;
-}
-
-bool parse_long(const char* s, long min, long max, long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  // A full disk or I/O error surfaces here, not as a silent exit 0 handing
-  // a truncated result file downstream (faultcampaign's checked --out
-  // semantics).
-  out.close();
-  if (!out) throw std::runtime_error("write failed for " + path);
-}
-
-/// True when `arg` is one of the value-taking `flags`: prints the missing-
-/// value diagnostic so a trailing flag does not masquerade as an unknown
-/// argument.
-bool report_missing_value(const char* arg,
-                          std::initializer_list<const char*> flags) {
-  for (const char* f : flags) {
-    if (std::strcmp(arg, f) == 0) {
-      std::fprintf(stderr, "missing value for %s\n", f);
-      return true;
-    }
-  }
-  return false;
 }
 
 bool read_exact(int fd, void* buf, std::size_t n) {

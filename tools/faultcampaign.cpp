@@ -7,7 +7,7 @@
 //                 [--engine interpreted|compiled] [--threads N]
 //                 [--backend rtl-interpreted|rtl-compiled]
 //                 [--lanes 64|128|256] [--opt-level 0|1] [--no-cone]
-//                 [--exec-tier interpreter|threaded|native|auto]
+//                 [--exec-tier threaded|native|auto]
 //                 [--shards N --shard-index I] [--checkpoint FILE]
 //                 [--checkpoint-every N]
 //                 [--no-trial-list] [--out report.json]
@@ -78,7 +78,7 @@ int usage() {
       "                [--samples N] [--engine interpreted|compiled]\n"
       "                [--backend rtl-interpreted|rtl-compiled]\n"
       "                [--lanes 64|128|256] [--opt-level 0|1] [--no-cone]\n"
-      "                [--exec-tier interpreter|threaded|native|auto]\n"
+      "                [--exec-tier threaded|native|auto]\n"
       "                [--shards N --shard-index I] [--checkpoint FILE]\n"
       "                [--checkpoint-every N]\n"
       "                [--threads N] [--no-trial-list] [--out report.json]\n"
@@ -300,13 +300,13 @@ int main(int argc, char** argv) {
       opt.cone = false;
     } else if (std::strcmp(argv[i], "--exec-tier") == 0) {
       // How the compiled engine walks its tape (full-range settles only;
-      // force-pinned and cone-restricted evals always run a portable tier).
+      // force-pinned and cone-restricted evals always run the threaded tier).
       // Like --lanes/--threads/--opt-level this never changes the report
       // bytes.
       const char* v = need_value("--exec-tier");
       if (v == nullptr || !dwt::rtl::compiled::parse_exec_tier(v, &opt.exec_tier)) {
-        std::fprintf(stderr, "bad --exec-tier value (interpreter, threaded, "
-                             "native or auto)\n");
+        std::fprintf(stderr,
+                     "bad --exec-tier value (threaded, native or auto)\n");
         return usage();
       }
     } else if (std::strcmp(argv[i], "--shards") == 0) {
